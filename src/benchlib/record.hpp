@@ -89,11 +89,6 @@ inline void fill_machine_info(BenchReport& report) {
 #else
   report.set_machine("build", "debug");
 #endif
-#ifdef CSCV_TELEMETRY
-  report.set_machine("telemetry", "on");
-#else
-  report.set_machine("telemetry", "off");
-#endif
 }
 
 inline util::Json record_to_json(const BenchRecord& r) {

@@ -22,8 +22,8 @@ using TierTable = std::array<const TierOps*, simd::kNumIsaTiers>;
 
 // Each linked kernels_isa.cpp instance lands at the slot of the tier its
 // flags *actually* compiled (self-reported): in a CSCV_MULTIVERSION build
-// the three instances fill slots 0..2; a single-object build (e.g.
-// CSCV_NATIVE) registers its one instance wherever the host flags put it —
+// the three instances fill slots 0..2; a single-object build (non-x86-64
+// targets) registers its one instance wherever the ambient flags put it —
 // possibly leaving lower slots empty, which select_tier's clamping handles.
 const TierTable& tier_table() {
   static const TierTable table = [] {

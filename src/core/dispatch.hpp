@@ -2,7 +2,7 @@
 //
 // Level one picks an ISA *tier*: the hot kernels (kernels_body.inc +
 // expand_body.inc) are compiled once per tier with that tier's arch flags
-// (core/kernels_isa.cpp, built by CSCV_MULTIVERSION), and each compiled tier
+// (core/kernels_isa.cpp, multiversioned on x86-64), and each compiled tier
 // registers a TierOps entry here. At run time the highest registered tier
 // the CPU supports wins, overridable via the CSCV_FORCE_ISA env var or
 // PlanOptions::isa (docs/DISPATCH.md).

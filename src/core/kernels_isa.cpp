@@ -1,5 +1,5 @@
 // One compiled kernel tier. The build compiles this TU once per ISA tier
-// (CSCV_MULTIVERSION, src/core/CMakeLists.txt) with that tier's arch flags
+// (on x86-64, src/core/CMakeLists.txt) with that tier's arch flags
 // and -DCSCV_TIER_NS=tier_<name>; each instance exports the four entry
 // points declared in core/kernel_tiers.hpp and dispatch.cpp assembles them
 // into the runtime tier registry.

@@ -335,8 +335,7 @@ PlanStats SpmvPlan<T>::stats() const {
                       : static_cast<double>(max_work) * static_cast<double>(threads_) /
                             static_cast<double>(total_work);
 
-  // Dynamic half — reads compile-time zeros when telemetry is off.
-  s.telemetry_enabled = util::telemetry::kEnabled;
+  // Dynamic half.
   s.applies = counters_.applies;
   s.transpose_applies = counters_.transpose_applies;
   s.plan_build_seconds = counters_.plan_build_seconds;
@@ -354,6 +353,23 @@ PlanStats SpmvPlan<T>::stats() const {
                    static_cast<double>(counters_.applies) / counters_.apply_seconds_total /
                    1e9;
   }
+  return s;
+}
+
+PlanStats stats_between(const PlanStats& before, const PlanStats& after) {
+  PlanStats s = after;
+  s.applies = after.applies - before.applies;
+  s.transpose_applies = after.transpose_applies - before.transpose_applies;
+  s.plan_build_seconds = after.plan_build_seconds - before.plan_build_seconds;
+  s.apply_seconds_total = after.apply_seconds_total - before.apply_seconds_total;
+  s.transpose_seconds_total = after.transpose_seconds_total - before.transpose_seconds_total;
+  s.apply_seconds_min = 0.0;
+  s.gflops_best = 0.0;
+  s.gbytes_per_second_best = 0.0;
+  s.gflops_avg = s.applies > 0 && s.apply_seconds_total > 0.0
+                     ? static_cast<double>(s.flops_per_apply) *
+                           static_cast<double>(s.applies) / s.apply_seconds_total / 1e9
+                     : 0.0;
   return s;
 }
 

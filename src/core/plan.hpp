@@ -38,10 +38,9 @@
 namespace cscv::core {
 
 /// Snapshot returned by SpmvPlan::stats(): the structural half (padding,
-/// work and traffic volumes, partition shape) is always available; the
-/// dynamic half (call counts, timings, derived rates) is populated only
-/// when the library is built with -DCSCV_TELEMETRY=ON and reads as zero
-/// otherwise. Padding fraction and GFLOP/s follow the paper's definitions
+/// work and traffic volumes, partition shape) and the dynamic half (call
+/// counts, timings, derived rates) recorded by the plan's always-on
+/// counters. Padding fraction and GFLOP/s follow the paper's definitions
 /// (fig5 / fig4 benches): padding counts zero slots of nnz(A~), GFLOP/s
 /// counts only original nonzeros as useful work.
 struct PlanStats {
@@ -78,8 +77,7 @@ struct PlanStats {
   /// max/mean of per-slot VxG work — 1.0 is a perfectly balanced partition.
   double load_imbalance = 0.0;
 
-  // ---- dynamic (zero unless built with CSCV_TELEMETRY) -----------------
-  bool telemetry_enabled = false;
+  // ---- dynamic (counted since the plan was built or reset) -------------
   std::uint64_t applies = 0;
   std::uint64_t transpose_applies = 0;
   double plan_build_seconds = 0.0;
@@ -92,6 +90,13 @@ struct PlanStats {
   /// (M(A) + vector traffic) / apply_seconds_min, in GB/s.
   double gbytes_per_second_best = 0.0;
 };
+
+/// The dynamic half accumulated between two stats() snapshots of one plan
+/// (`before` taken first): counts and summed seconds cover only the applies
+/// in between and gflops_avg is their mean rate. The best-apply fields
+/// (apply_seconds_min, gflops_best, gbytes_per_second_best) need per-apply
+/// history and read as zero. The structural half is `after`'s.
+[[nodiscard]] PlanStats stats_between(const PlanStats& before, const PlanStats& after);
 
 template <typename T>
 class SpmvPlan {
@@ -128,11 +133,10 @@ class SpmvPlan {
     return (ytilde_pool_.size() + copies_.size()) * sizeof(T);
   }
 
-  /// Telemetry snapshot (see PlanStats). The structural half is free; the
-  /// dynamic half aggregates the counters recorded by execute()/
-  /// execute_transpose() when the build has CSCV_TELEMETRY on.
+  /// Telemetry snapshot (see PlanStats). The dynamic half aggregates the
+  /// counters recorded by the constructor, execute() and execute_transpose().
   [[nodiscard]] PlanStats stats() const;
-  /// Clears the dynamic counters (no-op without CSCV_TELEMETRY).
+  /// Clears the dynamic counters.
   void reset_telemetry() { counters_.reset(); }
 
   /// True when this cached plan can serve (matrix, opts) at `threads`.
@@ -177,9 +181,7 @@ class SpmvPlan {
   mutable util::AlignedVector<T> ytilde_pool_;  // threads_ * ytilde_stride_
   mutable util::AlignedVector<T> copies_;       // kPrivateY: threads_ * rows * num_rhs
 
-  // Empty when CSCV_TELEMETRY is off — overlaps other members, adds no
-  // state and no codegen (verified by tests/cscv/test_telemetry.cpp).
-  [[no_unique_address]] mutable util::telemetry::Counters counters_;
+  mutable util::telemetry::Counters counters_;
 };
 
 }  // namespace cscv::core

@@ -13,7 +13,7 @@ ShardWorker::ShardWorker(WorkerOptions options)
 void ShardWorker::run() {
   while (!stopping_) {
     net::Socket conn = listener_.accept();
-    if (!conn.valid()) break;  // listener closed — the stop() signal
+    if (!conn.valid()) break;  // listener shut down — the stop() signal
     if (options_.poll_seconds > 0.0) conn.set_recv_timeout(options_.poll_seconds);
     if (!serve_connection(std::move(conn))) break;
   }
@@ -21,7 +21,9 @@ void ShardWorker::run() {
 
 void ShardWorker::stop() {
   stopping_ = true;
-  listener_.close();
+  // Only wake run(): it may be inside accept() on another thread. The
+  // listener closes in the destructor, once no thread can be using it.
+  listener_.shutdown();
 }
 
 bool ShardWorker::serve_connection(net::Socket conn) {

@@ -28,7 +28,7 @@ HttpServer::~HttpServer() { stop(); }
 void HttpServer::accept_main() {
   for (;;) {
     Socket conn = listener_.accept();
-    if (!conn.valid()) return;  // listener closed: shutting down
+    if (!conn.valid()) return;  // listener shut down: stopping
     if (stopping_.load(std::memory_order_relaxed)) return;
     conn.set_recv_timeout(options_.recv_timeout_seconds);
     if (pending_.push(conn) != pipeline::PushResult::kOk) return;  // queue closed
@@ -102,7 +102,7 @@ void HttpServer::stop() {
   if (stopped_) return;
   stopped_ = true;
   stopping_.store(true, std::memory_order_relaxed);
-  listener_.close();
+  listener_.shutdown();
   pending_.close();
   // Wake threads parked in recv() on a live connection. Queued-but-unserved
   // sockets are dropped when the queue drains below.
@@ -113,6 +113,7 @@ void HttpServer::stop() {
     }
   }
   if (acceptor_.joinable()) acceptor_.join();
+  listener_.close();
   for (std::thread& t : threads_) {
     if (t.joinable()) t.join();
   }

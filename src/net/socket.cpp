@@ -202,16 +202,18 @@ Socket ListenSocket::accept() {
       return s;
     }
     if (errno == EINTR) continue;
-    // EBADF/EINVAL: the listener was closed under us — the shutdown signal.
+    // EINVAL: the listener was shut down — the exit signal.
     return Socket{};
   }
 }
 
+void ListenSocket::shutdown() noexcept {
+  if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
+}
+
 void ListenSocket::close() noexcept {
   if (fd_ >= 0) {
-    // shutdown() wakes a thread blocked in accept() on Linux even when the
-    // close alone would not.
-    ::shutdown(fd_, SHUT_RDWR);
+    shutdown();
     ::close(fd_);
     fd_ = -1;
   }

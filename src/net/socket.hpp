@@ -87,9 +87,14 @@ class ListenSocket {
   [[nodiscard]] std::uint16_t port() const { return port_; }
 
   /// Blocks for the next connection. An invalid Socket means the listener
-  /// was closed (the accept loop's exit signal), not an error.
+  /// was shut down (the accept loop's exit signal), not an error.
   [[nodiscard]] Socket accept();
 
+  /// Wakes a thread blocked in accept() and makes every later accept()
+  /// return an invalid Socket. Safe to call while another thread accepts:
+  /// the fd stays open (and its number unreused) until close(), which the
+  /// owner calls only after joining the accepting thread.
+  void shutdown() noexcept;
   void close() noexcept;
 
  private:

@@ -237,11 +237,9 @@ util::Json ReconResult::to_json() const {
     if (plan_stats.isa_clamped) p["isa_clamped"] = util::Json(true);
     p["threads"] = util::Json(plan_stats.threads);
     p["scratch_bytes"] = util::Json(plan_stats.scratch_bytes);
-    if (plan_stats.telemetry_enabled) {
-      p["applies"] = util::Json(plan_stats.applies);
-      p["transpose_applies"] = util::Json(plan_stats.transpose_applies);
-      p["gflops_best"] = util::Json(plan_stats.gflops_best);
-    }
+    p["applies"] = util::Json(plan_stats.applies);
+    p["transpose_applies"] = util::Json(plan_stats.transpose_applies);
+    p["gflops_avg"] = util::Json(plan_stats.gflops_avg);
     j["plan"] = p;
   }
   return j;

@@ -120,8 +120,10 @@ struct ReconResult {
 
   /// Reconstructed image, geometry.num_cols() elements (empty unless kOk).
   util::AlignedVector<float> volume;
-  /// Snapshot of the worker plan that ran the job (zero for kOsSart, which
-  /// runs on CSR subsets instead of a plan).
+  /// Stats of the worker plan that ran the job, with the dynamic counters
+  /// covering only this job's solve (its fused batch's, when batched; see
+  /// core::stats_between). Zero for kOsSart, which runs on CSR subsets
+  /// instead of a plan.
   core::PlanStats plan_stats{};
 
   /// Telemetry summary (status, timings, plan highlights) — not the volume.

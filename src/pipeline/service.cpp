@@ -57,6 +57,7 @@ ReconResult execute_job(const ReconJob& job, const SystemMatrixEntry& entry,
                                                               << rows);
   ReconResult r;
   r.tag = job.tag;
+  const core::PlanStats before = plan != nullptr ? plan->stats() : core::PlanStats{};
   util::WallTimer timer;
   r.volume.assign(cols, 0.0F);
   switch (job.algorithm) {
@@ -96,7 +97,7 @@ ReconResult execute_job(const ReconJob& job, const SystemMatrixEntry& entry,
     }
   }
   r.solve_seconds = timer.seconds();
-  if (plan != nullptr) r.plan_stats = plan->stats();
+  if (plan != nullptr) r.plan_stats = core::stats_between(before, plan->stats());
   r.status = JobStatus::kOk;
   return r;
 }
@@ -134,6 +135,7 @@ std::vector<ReconResult> execute_job_batch(std::span<const ReconJob> jobs,
   }
   util::AlignedVector<float> x(cols * k, 0.0F);
 
+  const core::PlanStats before = plan != nullptr ? plan->stats() : core::PlanStats{};
   util::WallTimer timer;
   std::vector<recon::RunStats> stats;
   switch (algo) {
@@ -166,6 +168,8 @@ std::vector<ReconResult> execute_job_batch(std::span<const ReconJob> jobs,
     case Algorithm::kFbp: break;  // unreachable, checked above
   }
   const double solve_seconds = timer.seconds();
+  const core::PlanStats plan_stats =
+      plan != nullptr ? core::stats_between(before, plan->stats()) : core::PlanStats{};
 
   std::vector<ReconResult> out(k);
   for (std::size_t c = 0; c < k; ++c) {
@@ -176,7 +180,7 @@ std::vector<ReconResult> execute_job_batch(std::span<const ReconJob> jobs,
     r.iterations_run = stats[c].iterations_run;
     if (!stats[c].residual_norms.empty()) r.final_residual = stats[c].residual_norms.back();
     r.solve_seconds = solve_seconds;  // shared: the fused solve ran once
-    if (plan != nullptr) r.plan_stats = plan->stats();
+    r.plan_stats = plan_stats;
     r.batch_size = num_rhs;
     r.batch_index = static_cast<int>(c);
     r.status = JobStatus::kOk;

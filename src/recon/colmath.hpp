@@ -2,20 +2,10 @@
 //
 // The batched solvers promise: column k of a fused multi-RHS solve is
 // bitwise identical to the serial solver run alone on that column. The
-// SpMV engines hold up their half by matching accumulation chains per
-// column; this header holds up the solver half. Every per-element update
-// the solvers perform (SIRT/SART steps, CGLS axpy family, norm and dot
-// reductions, clamps) lives here as ONE noinline function instantiation
-// over contiguous arrays. The serial solver calls these directly; the
-// batched solver gathers a column into contiguous scratch and calls the
-// very same code.
-//
-// Why this indirection matters: open-coding "the same" update twice —
-// contiguous in the serial solver, strided in the batched one — lets the
-// compiler make different contraction/vectorization choices per site
-// (fused scalar FMA here, unfused vector mul+add there), which diverges
-// in the last ulp and breaks the bitwise contract. A single noinline
-// instantiation can only be compiled one way.
+// serial solver calls these helpers on contiguous arrays; the batched
+// solver gathers a column into contiguous scratch and calls the same
+// helpers. The libraries build with -ffp-contract=off, so each update
+// rounds as written wherever it is inlined or vectorized.
 #pragma once
 
 #include <algorithm>
@@ -26,43 +16,42 @@ namespace cscv::recon::colmath {
 
 /// r = b - r (elementwise).
 template <typename T>
-[[gnu::noinline]] void residual_from(const T* b, T* r, std::size_t len) {
+void residual_from(const T* b, T* r, std::size_t len) {
   for (std::size_t i = 0; i < len; ++i) r[i] = b[i] - r[i];
 }
 
 /// r = (b - r) * w (the SART weighted residual).
 template <typename T>
-[[gnu::noinline]] void weighted_residual(const T* b, const T* w, T* r, std::size_t len) {
+void weighted_residual(const T* b, const T* w, T* r, std::size_t len) {
   for (std::size_t i = 0; i < len; ++i) r[i] = (b[i] - r[i]) * w[i];
 }
 
 /// v *= w (elementwise).
 template <typename T>
-[[gnu::noinline]] void scale_by(T* v, const T* w, std::size_t len) {
+void scale_by(T* v, const T* w, std::size_t len) {
   for (std::size_t i = 0; i < len; ++i) v[i] *= w[i];
 }
 
 /// acc += p (elementwise) — the shard-reduce primitive. The distributed
 /// coordinator and its in-process reference both fold partial
-/// backprojections through this one instantiation, in shard-id order, so
-/// the reduce is bitwise-identical by construction on both paths.
+/// backprojections through it in shard-id order, so the reduce is
+/// bitwise-identical on both paths.
 template <typename T>
-[[gnu::noinline]] void accumulate(T* acc, const T* p, std::size_t len) {
+void accumulate(T* acc, const T* p, std::size_t len) {
   for (std::size_t i = 0; i < len; ++i) acc[i] += p[i];
 }
 
 /// x += lambda * inv_col * back — the SIRT update step.
 template <typename T>
-[[gnu::noinline]] void sirt_step(T* x, const T* inv_col, const T* back, T lambda,
-                                 std::size_t len) {
+void sirt_step(T* x, const T* inv_col, const T* back, T lambda, std::size_t len) {
   for (std::size_t j = 0; j < len; ++j) x[j] += lambda * inv_col[j] * back[j];
 }
 
 /// The SART update: SIRT step with the nonnegativity clamp folded into the
 /// same loop iteration (os_sart applies it per update, not per sweep).
 template <typename T>
-[[gnu::noinline]] void sart_step(T* x, const T* inv_col, const T* back, T lambda,
-                                 bool enforce_nonneg, std::size_t len) {
+void sart_step(T* x, const T* inv_col, const T* back, T lambda, bool enforce_nonneg,
+               std::size_t len) {
   for (std::size_t j = 0; j < len; ++j) {
     x[j] += lambda * inv_col[j] * back[j];
     if (enforce_nonneg) x[j] = std::max(x[j], T(0));
@@ -71,31 +60,31 @@ template <typename T>
 
 /// y += alpha * p.
 template <typename T>
-[[gnu::noinline]] void axpy(T* y, T alpha, const T* p, std::size_t len) {
+void axpy(T* y, T alpha, const T* p, std::size_t len) {
   for (std::size_t j = 0; j < len; ++j) y[j] += alpha * p[j];
 }
 
 /// y -= alpha * q.
 template <typename T>
-[[gnu::noinline]] void axmy(T* y, T alpha, const T* q, std::size_t len) {
+void axmy(T* y, T alpha, const T* q, std::size_t len) {
   for (std::size_t i = 0; i < len; ++i) y[i] -= alpha * q[i];
 }
 
 /// p = s + beta * p (the CG direction update).
 template <typename T>
-[[gnu::noinline]] void xpay(T* p, const T* s, T beta, std::size_t len) {
+void xpay(T* p, const T* s, T beta, std::size_t len) {
   for (std::size_t j = 0; j < len; ++j) p[j] = s[j] + beta * p[j];
 }
 
 /// x = max(x, floor) (elementwise).
 template <typename T>
-[[gnu::noinline]] void clamp_floor(T* x, T floor_v, std::size_t len) {
+void clamp_floor(T* x, T floor_v, std::size_t len) {
   for (std::size_t j = 0; j < len; ++j) x[j] = std::max(x[j], floor_v);
 }
 
 /// sum v[i]^2, accumulated in double in index order.
 template <typename T>
-[[gnu::noinline]] double dot_self(const T* v, std::size_t len) {
+double dot_self(const T* v, std::size_t len) {
   double s = 0.0;
   for (std::size_t i = 0; i < len; ++i) {
     s += static_cast<double>(v[i]) * static_cast<double>(v[i]);
@@ -112,7 +101,7 @@ double norm2(const T* v, std::size_t len) {
 /// sqrt(sum (b[i] - r[i])^2) with the difference taken in double (the
 /// os_sart per-pass norm).
 template <typename T>
-[[gnu::noinline]] double diff_norm2(const T* b, const T* r, std::size_t len) {
+double diff_norm2(const T* b, const T* r, std::size_t len) {
   double s = 0.0;
   for (std::size_t i = 0; i < len; ++i) {
     const double d = static_cast<double>(b[i]) - static_cast<double>(r[i]);

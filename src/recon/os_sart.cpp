@@ -93,7 +93,7 @@ RunStats os_sart(const sparse::CsrMatrix<T>& a, const core::OperatorLayout& layo
       residual.resize(st.b.size());
       sub.matrix.spmv(x, residual);
       // Per-element updates go through colmath so os_sart_batch can run
-      // the identical instantiations per column (bitwise contract).
+      // the identical helpers per column (bitwise contract).
       colmath::weighted_residual(st.b.data(), st.inv_row.data(), residual.data(),
                                  residual.size());
       sub.matrix.spmv_transpose(residual, back);
@@ -129,7 +129,7 @@ std::vector<RunStats> os_sart_batch(const sparse::CsrMatrix<T>& a,
 
   // Normalizers are per-matrix (shared by every column); the b slices are
   // per-column contiguous so the weighted-residual update can run through
-  // the exact colmath instantiation serial os_sart uses.
+  // the exact colmath helper serial os_sart uses.
   struct SubsetState {
     std::vector<util::AlignedVector<T>> b;  // [k] columns, each sub_rows long
     util::AlignedVector<T> inv_row;

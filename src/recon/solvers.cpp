@@ -11,7 +11,7 @@ namespace cscv::recon {
 namespace {
 
 // All per-element arithmetic routes through colmath so the serial and
-// batched solvers execute the same instantiations (see colmath.hpp for
+// batched solvers execute the same helpers (see colmath.hpp for
 // why that is what makes the batch bitwise-equal to serial).
 template <typename T>
 double norm2(std::span<const T> v) {
@@ -80,7 +80,7 @@ std::vector<RunStats> sirt_batch(const LinearOperator<T>& a, std::span<const T> 
   util::AlignedVector<T> residual(m * k);
   util::AlignedVector<T> back(n * k);
   // Contiguous per-column scratch: every update runs on a gathered column
-  // through the same colmath instantiation the serial solver uses, then
+  // through the same colmath helper the serial solver uses, then
   // scatters back. The gathers are O(m+n) against the O(nnz) applies.
   util::AlignedVector<T> col_m(m);
   util::AlignedVector<T> col_n(n);
@@ -225,7 +225,7 @@ std::vector<RunStats> cgls_batch(const LinearOperator<T>& a, std::span<const T> 
 
   // Interleaved staging used only at the fused applies; all solver state
   // lives in contiguous per-column vectors so every vector update and
-  // reduction runs through the exact colmath instantiation serial cgls
+  // reduction runs through the exact colmath helper serial cgls
   // uses (the bitwise contract — see colmath.hpp).
   util::AlignedVector<T> multi_m(m * k);
   util::AlignedVector<T> multi_n(n * k);

@@ -9,17 +9,13 @@ namespace cscv::sparse {
 
 namespace {
 
-// One compiled per-row body serves every CSR kernel variant: the single-RHS
-// kernels call with stride 1 / column 0, the multi-RHS kernels with stride
-// num_rhs / column c. Open-coding the loop at each call site — even with
-// identical source shape — lets the compiler make a different FP-contraction
-// choice per site (fused FMA chain in one, unfused mul+add in another),
-// which diverges in the last ulp and breaks the batched solvers' contract
-// that column c of a fused apply is bitwise identical to the single-RHS
-// apply. noinline pins both paths to this one instantiation.
+// One per-row body serves every CSR kernel variant: the single-RHS kernels
+// call with stride 1 / column 0, the multi-RHS kernels with stride num_rhs /
+// column c, so column c of a fused apply is bitwise identical to the
+// single-RHS apply (no FP contraction: -ffp-contract=off).
 template <typename T>
-[[gnu::noinline]] T row_dot(const T* v, const index_t* ci, offset_t k0, offset_t k1,
-                            const T* x, std::size_t stride, std::size_t c) {
+T row_dot(const T* v, const index_t* ci, offset_t k0, offset_t k1, const T* x,
+          std::size_t stride, std::size_t c) {
   T acc = T(0);
   for (offset_t k = k0; k < k1; ++k) {
     acc += v[k] * x[static_cast<std::size_t>(ci[k]) * stride + c];
@@ -28,8 +24,8 @@ template <typename T>
 }
 
 template <typename T>
-[[gnu::noinline]] void row_scatter(const T* v, const index_t* ci, offset_t k0, offset_t k1,
-                                   T yr, T* x, std::size_t stride, std::size_t c) {
+void row_scatter(const T* v, const index_t* ci, offset_t k0, offset_t k1, T yr, T* x,
+                 std::size_t stride, std::size_t c) {
   for (offset_t k = k0; k < k1; ++k) {
     x[static_cast<std::size_t>(ci[k]) * stride + c] += v[k] * yr;
   }
@@ -113,13 +109,10 @@ void CsrMatrix<T>::spmv_multi(std::span<const T> x, std::span<T> y, int num_rhs)
   const T* v = values_.data();
   const T* xp = x.data();
   T* yp = y.data();
-  // Column-outer on purpose: each column's dot product goes through the same
-  // row_dot instantiation single-RHS spmv uses, so column c of the fused
-  // apply stays bitwise identical to spmv on that column (the batched
-  // solvers' determinism contract). A lane-parallel acc[] over columns
-  // invites an in-order vectorized reduction — separately rounded products
-  // instead of the single-RHS fused chain — which breaks exactly that.
-  // The row's values/indices stay hot in cache across the k passes.
+  // Each column's dot product goes through the row_dot single-RHS spmv
+  // uses, so column c of the fused apply stays bitwise identical to spmv on
+  // that column (the batched solvers' determinism contract). The row's
+  // values/indices stay hot in cache across the k passes.
   const std::size_t kk = static_cast<std::size_t>(num_rhs);
   util::parallel_for(0, static_cast<std::size_t>(rows_), [&](std::size_t r) {
     T* yr = yp + r * kk;
@@ -202,7 +195,7 @@ void CsrMatrix<T>::spmv_transpose_multi(std::span<const T> y, std::span<T> x, in
   if (slots == 1) {
     // Serial scatter, column-outer within each row: per column the adds hit
     // x in exactly spmv_transpose_serial's nonzero order, through the same
-    // row_scatter instantiation, so each column stays bitwise identical to
+    // row_scatter body, so each column stays bitwise identical to
     // a single-RHS transpose.
     std::fill(x.begin(), x.end(), T(0));
     const offset_t* rp = row_ptr_.data();

@@ -4,9 +4,9 @@
 // plan-cache keying on the forced tier (including an env-var flip between
 // plan() calls).
 //
-// The tests must pass on any build shape: a CSCV_MULTIVERSION binary
-// carries all three tiers, a CSCV_NATIVE one carries a single
-// self-reported tier (possibly leaving the generic slot empty), and the
+// The tests must pass on any build shape: an x86-64 binary carries all
+// three tiers, a non-x86-64 one carries a single self-reported tier
+// (possibly leaving the generic slot empty), and the
 // CPU underneath may or may not support what is registered — so most
 // assertions are postconditions of select_tier's contract rather than
 // literal tier values.

@@ -1,39 +1,16 @@
-// Telemetry layer — zero-cost when off, consistent PlanStats either way.
-//
-// This file compiles in both configurations: the default build (telemetry
-// off) proves the counters are compile-time no-ops, a -DCSCV_TELEMETRY=ON
-// build (CI perf-smoke job, build dir build-telemetry) proves the dynamic
-// half actually counts. The structural stats() checks run identically in
-// both.
+// Telemetry layer — the counters are always compiled in; PlanStats carries
+// a structural half (matrix facts) and a dynamic half (live counters).
 #include <gtest/gtest.h>
-
-#include <type_traits>
 
 #include "core/format.hpp"
 #include "core/plan.hpp"
 #include "sparse/random.hpp"
 #include "test_helpers.hpp"
-#include "util/telemetry.hpp"
 
 namespace cscv::core {
 namespace {
 
 using testing::cached_ct_csc;
-
-#if !CSCV_TELEMETRY_ENABLED
-// The zero-cost guarantee: with telemetry off the counter types carry no
-// state at all, so the [[no_unique_address]] member in SpmvPlan overlaps
-// other members and the record_* calls fold to nothing. These are
-// compile-time facts — static_assert, not EXPECT.
-static_assert(std::is_empty_v<util::telemetry::Counters>,
-              "telemetry-off Counters must be stateless");
-static_assert(std::is_empty_v<util::telemetry::Stopwatch>,
-              "telemetry-off Stopwatch must be stateless");
-static_assert(!util::telemetry::kEnabled);
-#else
-static_assert(!std::is_empty_v<util::telemetry::Counters>);
-static_assert(util::telemetry::kEnabled);
-#endif
 
 template <typename T>
 CscvMatrix<T> build_cscv(typename CscvMatrix<T>::Variant variant, int image = 32,
@@ -44,8 +21,7 @@ CscvMatrix<T> build_cscv(typename CscvMatrix<T>::Variant variant, int image = 32
                               variant);
 }
 
-// Structural stats are pure matrix facts — available with telemetry on or
-// off, and consistent with the paper's definitions: padding_fraction is
+// Structural stats are pure matrix facts, consistent with the paper's definitions: padding_fraction is
 // the zero-slot share of nnz(A~) (fig5's padding view), r_nnze is
 // nnz(A~)/nnz(A) - 1, occupancy the complement of padding.
 TEST(PlanStats, StructuralFieldsMatchMatrix) {
@@ -75,7 +51,6 @@ TEST(PlanStats, StructuralFieldsMatchMatrix) {
   EXPECT_EQ(s.num_rhs, 1);
   EXPECT_EQ(s.scheme, plan.scheme());
   EXPECT_GE(s.load_imbalance, 1.0);  // max/mean of slot work
-  EXPECT_EQ(s.telemetry_enabled, util::telemetry::kEnabled);
 }
 
 // kZ stores the padded array, kM compresses to nnz — stats must reflect
@@ -103,7 +78,7 @@ TEST(PlanStats, MultiRhsScalesFlops) {
 }
 
 // The dynamic half: exercises execute()/execute_transpose() and checks the
-// counters in whichever configuration this file was compiled.
+// live counters.
 TEST(PlanStats, DynamicCountersFollowBuildConfig) {
   const auto m = build_cscv<double>(CscvMatrix<double>::Variant::kM);
   const SpmvPlan<double> plan(m);
@@ -115,31 +90,45 @@ TEST(PlanStats, DynamicCountersFollowBuildConfig) {
   plan.execute_transpose(y, xt);
   const PlanStats s = plan.stats();
 
-  if constexpr (util::telemetry::kEnabled) {
-    EXPECT_TRUE(s.telemetry_enabled);
-    EXPECT_EQ(s.applies, 3u);
-    EXPECT_EQ(s.transpose_applies, 1u);
-    EXPECT_GT(s.plan_build_seconds, 0.0);
-    EXPECT_GT(s.apply_seconds_total, 0.0);
-    EXPECT_GT(s.apply_seconds_min, 0.0);
-    EXPECT_LE(s.apply_seconds_min, s.apply_seconds_total / 3.0);
-    EXPECT_GT(s.transpose_seconds_total, 0.0);
-    // Derived rates use the paper's useful-flops convention.
-    EXPECT_NEAR(s.gflops_best,
-                static_cast<double>(s.flops_per_apply) / s.apply_seconds_min / 1e9,
-                1e-9 * s.gflops_best + 1e-15);
-    EXPECT_GT(s.gbytes_per_second_best, 0.0);
-    EXPECT_GE(s.gflops_best, s.gflops_avg);
-  } else {
-    // Off build: the dynamic half reads as exactly zero, never garbage.
-    EXPECT_FALSE(s.telemetry_enabled);
-    EXPECT_EQ(s.applies, 0u);
-    EXPECT_EQ(s.transpose_applies, 0u);
-    EXPECT_EQ(s.plan_build_seconds, 0.0);
-    EXPECT_EQ(s.apply_seconds_total, 0.0);
-    EXPECT_EQ(s.gflops_best, 0.0);
-    EXPECT_EQ(s.gbytes_per_second_best, 0.0);
-  }
+  EXPECT_EQ(s.applies, 3u);
+  EXPECT_EQ(s.transpose_applies, 1u);
+  EXPECT_GT(s.plan_build_seconds, 0.0);
+  EXPECT_GT(s.apply_seconds_total, 0.0);
+  EXPECT_GT(s.apply_seconds_min, 0.0);
+  EXPECT_LE(s.apply_seconds_min, s.apply_seconds_total / 3.0);
+  EXPECT_GT(s.transpose_seconds_total, 0.0);
+  // Derived rates use the paper's useful-flops convention.
+  EXPECT_NEAR(s.gflops_best,
+              static_cast<double>(s.flops_per_apply) / s.apply_seconds_min / 1e9,
+              1e-9 * s.gflops_best + 1e-15);
+  EXPECT_GT(s.gbytes_per_second_best, 0.0);
+  EXPECT_GE(s.gflops_best, s.gflops_avg);
+}
+
+// stats_between isolates the applies run between two snapshots.
+TEST(PlanStats, StatsBetweenCountsOnlyTheWindow) {
+  const auto m = build_cscv<float>(CscvMatrix<float>::Variant::kZ);
+  const SpmvPlan<float> plan(m);
+  const auto x = sparse::random_vector<float>(static_cast<std::size_t>(m.cols()), 13);
+  util::AlignedVector<float> y(static_cast<std::size_t>(m.rows()));
+  util::AlignedVector<float> xt(x.size());
+
+  for (int i = 0; i < 4; ++i) plan.execute(x, y);
+  const PlanStats before = plan.stats();
+  plan.execute(x, y);
+  plan.execute_transpose(y, xt);
+  const PlanStats after = plan.stats();
+  const PlanStats d = stats_between(before, after);
+
+  EXPECT_EQ(after.applies, 5u);
+  EXPECT_EQ(d.applies, 1u);
+  EXPECT_EQ(d.transpose_applies, 1u);
+  EXPECT_EQ(d.plan_build_seconds, 0.0);
+  EXPECT_NEAR(d.apply_seconds_total, after.apply_seconds_total - before.apply_seconds_total,
+              1e-15);
+  EXPECT_GT(d.gflops_avg, 0.0);
+  EXPECT_EQ(d.gflops_best, 0.0);
+  EXPECT_EQ(d.nnz, after.nnz);  // structural half passes through
 }
 
 TEST(PlanStats, ResetTelemetryClearsDynamicHalf) {

@@ -22,14 +22,14 @@ class SilentServer {
     thread_ = std::thread([this] {
       while (!stopping_.load()) {
         Socket conn = listener_.accept();
-        if (!conn.valid()) return;  // listener closed
+        if (!conn.valid()) return;  // listener shut down
         held_.push_back(std::move(conn));
       }
     });
   }
   ~SilentServer() {
     stopping_.store(true);
-    listener_.close();
+    listener_.shutdown();  // wake accept(); the fd closes after the join
     thread_.join();
   }
 

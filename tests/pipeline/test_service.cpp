@@ -97,6 +97,35 @@ TEST(ReconService, EveryAlgorithmMatchesSerialReference) {
   EXPECT_EQ(service.stats().completed, 4U);
 }
 
+// A warm worker plan serves job after job: each result reports the applies
+// of its own solve, not the plan's lifetime totals.
+TEST(ReconService, PlanCountersCoverOnlyTheJobsOwnSolve) {
+  const ReconJob first = make_job(24, 12, Algorithm::kSirt, 2);
+  const ReconJob second = make_job(24, 12, Algorithm::kCgls, 4);
+  SystemMatrixCache cache;
+  const auto acquired = cache.get_or_build(first.matrix_key());
+  const core::SpmvPlan<float> warm(*acquired.entry->cscv, core::PlanOptions{.threads = 1});
+  const ReconResult r1 = execute_job(first, *acquired.entry, &warm);
+  const ReconResult r2 = execute_job(second, *acquired.entry, &warm);
+
+  const core::SpmvPlan<float> fresh(*acquired.entry->cscv, core::PlanOptions{.threads = 1});
+  const ReconResult alone = execute_job(second, *acquired.entry, &fresh);
+
+  ASSERT_GT(r1.plan_stats.applies, 0U);
+  EXPECT_EQ(r2.plan_stats.applies, alone.plan_stats.applies);
+  EXPECT_EQ(r2.plan_stats.transpose_applies, alone.plan_stats.transpose_applies);
+  const core::PlanStats lifetime = warm.stats();
+  EXPECT_EQ(r1.plan_stats.applies + r2.plan_stats.applies, lifetime.applies);
+  EXPECT_EQ(r1.plan_stats.transpose_applies + r2.plan_stats.transpose_applies,
+            lifetime.transpose_applies);
+
+  const util::Json plan_json = r2.to_json().at("plan");
+  EXPECT_EQ(static_cast<std::uint64_t>(plan_json.at("applies").as_int()),
+            r2.plan_stats.applies);
+  EXPECT_EQ(static_cast<std::uint64_t>(plan_json.at("transpose_applies").as_int()),
+            r2.plan_stats.transpose_applies);
+}
+
 // kReject: a full queue resolves the future immediately — the submitter
 // never blocks and the job never enters the queue.
 TEST(ReconService, RejectPolicyResolvesImmediatelyWhenFull) {

@@ -91,7 +91,7 @@ void run_precision(const benchlib::Dataset& dataset, const SuiteFlags& flags,
     }
     // CSCV engines carry their plan/format telemetry: the structural
     // metrics are machine-independent (ideal regression-gate candidates),
-    // the timing-derived ones appear when built with CSCV_TELEMETRY.
+    // the timing-derived ones come from the plan's counters.
     const core::CscvMatrix<T>* cscv =
         engine.name == "CSCV-Z" ? z.get() : engine.name == "CSCV-M" ? m.get() : nullptr;
     if (cscv != nullptr) {
@@ -103,7 +103,7 @@ void run_precision(const benchlib::Dataset& dataset, const SuiteFlags& flags,
       record.set("r_nnze", st.r_nnze);
       record.set("vxg_occupancy", st.vxg_occupancy);
       record.set("load_imbalance", st.load_imbalance);
-      if (st.telemetry_enabled && st.applies > 0) {
+      if (st.applies > 0) {
         record.set("telemetry_gflops_best", st.gflops_best);
         record.set("telemetry_plan_build_seconds", st.plan_build_seconds);
       }
