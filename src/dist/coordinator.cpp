@@ -37,20 +37,8 @@ namespace {
 /// or hostile peer — an inconsistent-reply transport failure, not a solver
 /// shape error.
 std::uint64_t expected_reply_count(const ShardSpec& spec, ApplyOp op, int subset) {
-  switch (op) {
-    case ApplyOp::kAdjoint:
-    case ApplyOp::kColSums:
-      return static_cast<std::uint64_t>(spec.geometry.num_cols());
-    case ApplyOp::kForward:
-    case ApplyOp::kRowSums:
-      break;
-  }
-  if (subset < 0) return static_cast<std::uint64_t>(spec.local_rows());
-  std::uint64_t stratum_views = 0;
-  for (int v = spec.view_begin; v < spec.view_end; ++v) {
-    if (v % spec.os_sart_subsets == subset) ++stratum_views;
-  }
-  return stratum_views * static_cast<std::uint64_t>(spec.geometry.num_bins);
+  return static_cast<std::uint64_t>(op == ApplyOp::kAdjoint ? spec.geometry.num_cols()
+                                                            : spec.stratum_rows(subset));
 }
 
 }  // namespace

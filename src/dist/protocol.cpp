@@ -145,7 +145,7 @@ ApplyHeader decode_apply(std::string_view payload, util::AlignedVector<float>& d
   ApplyHeader h;
   h.shard_id = get_u32(p);
   const auto op = static_cast<std::uint8_t>(p[4]);
-  if (op > static_cast<std::uint8_t>(ApplyOp::kColSums)) {
+  if (op > static_cast<std::uint8_t>(ApplyOp::kAdjoint)) {
     throw ProtocolError("apply payload: unknown op " + std::to_string(op));
   }
   h.op = static_cast<ApplyOp>(op);

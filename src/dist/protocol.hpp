@@ -4,7 +4,7 @@
 // Every message is one frame:
 //
 //   bytes 0..3   magic   0x43534844 ("CSHD" big-endian on the wire)
-//   bytes 4..5   version (currently 1)
+//   bytes 4..5   version (currently 2)
 //   bytes 6..7   message type (MsgType)
 //   bytes 8..15  payload length in bytes
 //
@@ -47,7 +47,7 @@ class ProtocolError : public util::CheckError {
 };
 
 inline constexpr std::uint32_t kFrameMagic = 0x43534844;  // "CSHD"
-inline constexpr std::uint16_t kProtocolVersion = 1;
+inline constexpr std::uint16_t kProtocolVersion = 2;
 inline constexpr std::size_t kFrameHeaderBytes = 16;
 
 enum class MsgType : std::uint16_t {
@@ -100,8 +100,6 @@ class FrameParser {
 enum class ApplyOp : std::uint8_t {
   kForward = 0,  // in: image (cols floats) -> out: shard/stratum rows
   kAdjoint = 1,  // in: shard/stratum rows -> out: image (cols floats)
-  kRowSums = 2,  // no input -> out: stratum row sums (OS-SART normalizer)
-  kColSums = 3,  // no input -> out: per-shard column sums (OS-SART normalizer)
 };
 
 struct ApplyHeader {
@@ -146,6 +144,16 @@ struct ShardSpec {
   }
   [[nodiscard]] sparse::index_t row_offset() const {
     return static_cast<sparse::index_t>(view_begin) * geometry.num_bins;
+  }
+  /// This shard's rows of global OS-SART stratum `stratum` (the views v
+  /// with v % os_sart_subsets == stratum); stratum < 0 is the whole shard.
+  [[nodiscard]] sparse::index_t stratum_rows(int stratum) const {
+    if (stratum < 0) return local_rows();
+    sparse::index_t views = 0;
+    for (int v = view_begin; v < view_end; ++v) {
+      if (v % os_sart_subsets == stratum) ++views;
+    }
+    return views * geometry.num_bins;
   }
 
   [[nodiscard]] util::Json to_json() const;

@@ -9,7 +9,6 @@
 #include "core/serialize.hpp"
 #include "ct/system_matrix.hpp"
 #include "pipeline/matrix_cache.hpp"
-#include "recon/operators.hpp"
 #include "sparse/convert.hpp"
 #include "util/assertx.hpp"
 #include "util/timing.hpp"
@@ -55,44 +54,6 @@ void try_spill(const std::string& path, const core::CscvMatrix<float>& m) {
   if (std::rename(tmp.c_str(), path.c_str()) != 0) std::remove(tmp.c_str());
 }
 
-/// Extracts the shard's stratum of GLOBAL subset s: local views l with
-/// (l + view_begin) % num_subsets == s, ascending, bins inner. The per-row
-/// slicing below is the same prefix-sum + std::copy extraction
-/// recon::split_view_subsets performs, so at N=1 (view_begin == 0, all
-/// views local) the strata are bitwise the serial subsets.
-sparse::CsrMatrix<float> extract_stratum(const sparse::CsrMatrix<float>& csr,
-                                         const ShardSpec& spec, int s) {
-  const int bins = spec.geometry.num_bins;
-  util::AlignedVector<sparse::index_t> local_rows;
-  for (int v = spec.view_begin; v < spec.view_end; ++v) {
-    if (v % spec.os_sart_subsets != s) continue;
-    for (int bin = 0; bin < bins; ++bin) {
-      local_rows.push_back(static_cast<sparse::index_t>(v - spec.view_begin) * bins + bin);
-    }
-  }
-  auto row_ptr = csr.row_ptr();
-  auto col_idx = csr.col_idx();
-  auto vals = csr.values();
-  const auto sub_rows = local_rows.size();
-  util::AlignedVector<sparse::offset_t> sub_ptr(sub_rows + 1, 0);
-  for (std::size_t r = 0; r < sub_rows; ++r) {
-    const auto gr = static_cast<std::size_t>(local_rows[r]);
-    sub_ptr[r + 1] = sub_ptr[r] + (row_ptr[gr + 1] - row_ptr[gr]);
-  }
-  util::AlignedVector<sparse::index_t> sub_cols(static_cast<std::size_t>(sub_ptr[sub_rows]));
-  util::AlignedVector<float> sub_vals(static_cast<std::size_t>(sub_ptr[sub_rows]));
-  for (std::size_t r = 0; r < sub_rows; ++r) {
-    const auto gr = static_cast<std::size_t>(local_rows[r]);
-    std::copy(col_idx.begin() + row_ptr[gr], col_idx.begin() + row_ptr[gr + 1],
-              sub_cols.begin() + sub_ptr[r]);
-    std::copy(vals.begin() + row_ptr[gr], vals.begin() + row_ptr[gr + 1],
-              sub_vals.begin() + sub_ptr[r]);
-  }
-  return sparse::CsrMatrix<float>(static_cast<sparse::index_t>(sub_rows), csr.cols(),
-                                  std::move(sub_ptr), std::move(sub_cols),
-                                  std::move(sub_vals));
-}
-
 }  // namespace
 
 Shard build_shard(const ShardSpec& spec, const std::string& spill_dir) {
@@ -109,10 +70,8 @@ Shard build_shard(const ShardSpec& spec, const std::string& spill_dir) {
                                                         spec.view_end);
     shard.nnz = static_cast<std::uint64_t>(csc.nnz());
     shard.csr = std::make_shared<sparse::CsrMatrix<float>>(sparse::csr_from_csc(csc));
-    shard.subset_csr.reserve(static_cast<std::size_t>(spec.os_sart_subsets));
-    for (int s = 0; s < spec.os_sart_subsets; ++s) {
-      shard.subset_csr.push_back(extract_stratum(*shard.csr, spec, s));
-    }
+    shard.strata = recon::split_view_subsets(*shard.csr, shard.local_layout,
+                                             spec.os_sart_subsets, spec.view_begin);
   } else {
     const std::string spill_path =
         spill_dir.empty() ? std::string() : shard_spill_path(spill_dir, spec);
@@ -137,63 +96,38 @@ Shard build_shard(const ShardSpec& spec, const std::string& spill_dir) {
 void apply_shard(const Shard& shard, ApplyOp op, int subset, std::span<const float> in,
                  util::AlignedVector<float>& out) {
   const auto cols = static_cast<std::size_t>(shard.local_layout.num_cols());
-  const auto rows = static_cast<std::size_t>(shard.spec.local_rows());
-
-  if (subset < 0) {
-    if (op == ApplyOp::kForward) {
+  const sparse::CsrMatrix<float>* csr = shard.csr.get();
+  if (subset >= 0) {
+    CSCV_CHECK_MSG(!shard.strata.empty(),
+                   "subset apply on a shard built for " << pipeline::algorithm_name(
+                       shard.spec.algorithm));
+    CSCV_CHECK_MSG(subset < static_cast<int>(shard.strata.size()),
+                   "subset " << subset << " out of " << shard.strata.size());
+    csr = &shard.strata[static_cast<std::size_t>(subset)].matrix;
+  }
+  const auto rows = static_cast<std::size_t>(shard.spec.stratum_rows(subset));
+  switch (op) {
+    case ApplyOp::kForward:
       CSCV_CHECK_MSG(in.size() == cols, "shard forward: input has " << in.size()
                                                                     << " elements, want "
                                                                     << cols);
       out.resize(rows);
-      if (shard.cscv) {
-        shard.plan().execute(in, out);
+      if (csr != nullptr) {
+        csr->spmv(in, out);
       } else {
-        shard.csr->spmv(in, out);
+        shard.plan().execute(in, out);
       }
       return;
-    }
-    if (op == ApplyOp::kAdjoint) {
+    case ApplyOp::kAdjoint:
       CSCV_CHECK_MSG(in.size() == rows, "shard adjoint: input has " << in.size()
                                                                     << " elements, want "
                                                                     << rows);
       out.resize(cols);
-      if (shard.cscv) {
-        shard.plan().execute_transpose(in, out);
+      if (csr != nullptr) {
+        csr->spmv_transpose(in, out);
       } else {
-        shard.csr->spmv_transpose(in, out);
+        shard.plan().execute_transpose(in, out);
       }
-      return;
-    }
-    CSCV_CHECK_MSG(false, "shard row/col sums require a subset index");
-  }
-
-  CSCV_CHECK_MSG(!shard.subset_csr.empty(),
-                 "subset apply on a shard built for " << pipeline::algorithm_name(
-                     shard.spec.algorithm));
-  CSCV_CHECK_MSG(subset < static_cast<int>(shard.subset_csr.size()),
-                 "subset " << subset << " out of " << shard.subset_csr.size());
-  const auto& sub = shard.subset_csr[static_cast<std::size_t>(subset)];
-  const auto sub_rows = static_cast<std::size_t>(sub.rows());
-  switch (op) {
-    case ApplyOp::kForward:
-      CSCV_CHECK_MSG(in.size() == cols, "stratum forward: input has "
-                                            << in.size() << " elements, want " << cols);
-      out.resize(sub_rows);
-      sub.spmv(in, out);
-      return;
-    case ApplyOp::kAdjoint:
-      CSCV_CHECK_MSG(in.size() == sub_rows, "stratum adjoint: input has "
-                                                << in.size() << " elements, want "
-                                                << sub_rows);
-      out.resize(cols);
-      // 2-arg transpose — the exact call serial recon::os_sart makes.
-      sub.spmv_transpose(in, out);
-      return;
-    case ApplyOp::kRowSums:
-      out = recon::CsrOperator<float>(sub).row_sums();
-      return;
-    case ApplyOp::kColSums:
-      out = recon::CsrOperator<float>(sub).col_sums();
       return;
   }
   CSCV_CHECK_MSG(false, "unknown apply op");

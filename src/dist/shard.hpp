@@ -2,9 +2,10 @@
 // contiguous view range for SIRT/CGLS, or the range's CSR plus its
 // per-global-subset strata for OS-SART. Built from a ShardSpec by the
 // exact same code paths the serial pipeline uses
-// (ct::build_system_matrix_csc_range / CscvMatrix::build / csr_from_csc),
-// so a single shard covering [0, num_views) is bit-for-bit the serial
-// operator — the anchor of the N=1 determinism contract (docs/SHARDING.md).
+// (ct::build_system_matrix_csc_range / CscvMatrix::build / csr_from_csc /
+// recon::split_view_subsets), so a single shard covering [0, num_views) is
+// bit-for-bit the serial operator — the anchor of the N=1 determinism
+// contract (docs/SHARDING.md).
 //
 // Everything here is single-threaded by contract: plans are built with
 // threads = 1 and callers pin util::set_num_threads(1), because the CSR
@@ -20,6 +21,7 @@
 #include "core/format.hpp"
 #include "core/plan.hpp"
 #include "dist/protocol.hpp"
+#include "recon/os_sart.hpp"
 #include "sparse/csr.hpp"
 #include "util/aligned_vector.hpp"
 
@@ -32,11 +34,12 @@ struct Shard {
   /// SIRT/CGLS engine (null for kOsSart).
   std::shared_ptr<core::CscvMatrix<float>> cscv;
   /// OS-SART engines (empty for the CSCV algorithms): the shard's CSR and
-  /// one stratum CSR per GLOBAL subset s — the shard's views v with
-  /// v % num_subsets == s, ascending, bins inner. A subset with no local
+  /// one stratum per GLOBAL subset s — the shard's views v with
+  /// v % num_subsets == s, ascending, bins inner
+  /// (recon::split_view_subsets from view_begin). A subset with no local
   /// views gets an empty (0-row) matrix.
   std::shared_ptr<sparse::CsrMatrix<float>> csr;
-  std::vector<sparse::CsrMatrix<float>> subset_csr;
+  std::vector<recon::ViewSubset<float>> strata;
 
   std::uint64_t nnz = 0;
   bool restored_from_spill = false;
@@ -55,14 +58,10 @@ struct Shard {
 [[nodiscard]] Shard build_shard(const ShardSpec& spec, const std::string& spill_dir);
 
 /// Dispatches one apply on the shard. `subset` is an OS-SART global subset
-/// index or -1 for the whole shard. Input/output lengths by op:
-///   kForward  subset<0: in cols           -> out shard rows
-///   kForward  subset>=0: in cols          -> out stratum rows
-///   kAdjoint  subset<0: in shard rows     -> out cols
-///   kAdjoint  subset>=0: in stratum rows  -> out cols
-///   kRowSums  subset>=0: in empty         -> out stratum rows
-///   kColSums  subset>=0: in empty         -> out cols
-/// Throws CheckError on length/op/subset mismatches.
+/// index or -1 for the whole shard; its rows are spec.stratum_rows(subset).
+///   kForward  in cols  -> out rows
+///   kAdjoint  in rows  -> out cols
+/// Throws CheckError on length/subset mismatches.
 void apply_shard(const Shard& shard, ApplyOp op, int subset,
                  std::span<const float> in, util::AlignedVector<float>& out);
 

@@ -6,6 +6,7 @@
 #include "ct/system_matrix.hpp"
 #include "dist/partition.hpp"
 #include "recon/colmath.hpp"
+#include "recon/os_sart.hpp"
 
 namespace cscv::dist {
 
@@ -35,23 +36,31 @@ void check_partition(const std::vector<ShardSpec>& specs) {
 
 // ---- ShardedOperator -------------------------------------------------------
 
-ShardedOperator::ShardedOperator(ShardBackend& backend) : backend_(&backend) {
+ShardedOperator::ShardedOperator(ShardBackend& backend, int stratum)
+    : backend_(&backend), stratum_(stratum) {
   const auto& specs = backend.specs();
   check_partition(specs);
-  rows_ = specs[0].geometry.num_rows();
+  CSCV_CHECK_MSG(stratum < 0 || (specs[0].algorithm == pipeline::Algorithm::kOsSart &&
+                                 stratum < specs[0].os_sart_subsets),
+                 "stratum " << stratum << " of shards built for "
+                            << pipeline::algorithm_name(specs[0].algorithm) << " with "
+                            << specs[0].os_sart_subsets << " subsets");
   cols_ = specs[0].geometry.num_cols();
-  row_offset_.reserve(specs.size());
-  for (const auto& s : specs) row_offset_.push_back(s.row_offset());
+  row_offset_.reserve(specs.size() + 1);
+  row_offset_.push_back(0);
+  for (const auto& s : specs) row_offset_.push_back(row_offset_.back() + s.stratum_rows(stratum));
+  rows_ = row_offset_.back();
 }
 
 void ShardedOperator::forward(std::span<const float> x, std::span<float> y) const {
   CSCV_CHECK(static_cast<sparse::index_t>(x.size()) == cols_);
   CSCV_CHECK(static_cast<sparse::index_t>(y.size()) == rows_);
-  const auto& specs = backend_->specs();
-  in_.assign(specs.size(), x);  // every shard projects the same image
-  backend_->apply_all(ApplyOp::kForward, -1, in_, parts_);
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    CSCV_CHECK(parts_[i].size() == static_cast<std::size_t>(specs[i].local_rows()));
+  const std::size_t num_shards = backend_->specs().size();
+  in_.assign(num_shards, x);  // every shard projects the same image
+  backend_->apply_all(ApplyOp::kForward, stratum_, in_, parts_);
+  for (std::size_t i = 0; i < num_shards; ++i) {
+    CSCV_CHECK(static_cast<sparse::index_t>(parts_[i].size()) ==
+               row_offset_[i + 1] - row_offset_[i]);
     // Concatenation at the shard's row offset: pure placement, no FP ops —
     // the forward side of the determinism contract is free.
     std::copy(parts_[i].begin(), parts_[i].end(),
@@ -62,154 +71,23 @@ void ShardedOperator::forward(std::span<const float> x, std::span<float> y) cons
 void ShardedOperator::adjoint(std::span<const float> y, std::span<float> x) const {
   CSCV_CHECK(static_cast<sparse::index_t>(y.size()) == rows_);
   CSCV_CHECK(static_cast<sparse::index_t>(x.size()) == cols_);
-  const auto& specs = backend_->specs();
-  in_.resize(specs.size());
-  for (std::size_t i = 0; i < specs.size(); ++i) {
+  const std::size_t num_shards = backend_->specs().size();
+  in_.resize(num_shards);
+  for (std::size_t i = 0; i < num_shards; ++i) {
     in_[i] = y.subspan(static_cast<std::size_t>(row_offset_[i]),
-                       static_cast<std::size_t>(specs[i].local_rows()));
+                       static_cast<std::size_t>(row_offset_[i + 1] - row_offset_[i]));
   }
-  backend_->apply_all(ApplyOp::kAdjoint, -1, in_, parts_);
+  backend_->apply_all(ApplyOp::kAdjoint, stratum_, in_, parts_);
   // Fixed shard-ordered reduce: copy shard 0, accumulate 1..N-1 through the
   // shared colmath primitive. Run-to-run deterministic for every N; at N=1
   // the copy is the serial adjoint bit for bit.
   const auto cols = static_cast<std::size_t>(cols_);
   CSCV_CHECK(parts_[0].size() == cols);
   std::copy(parts_[0].begin(), parts_[0].end(), x.begin());
-  for (std::size_t i = 1; i < specs.size(); ++i) {
+  for (std::size_t i = 1; i < num_shards; ++i) {
     CSCV_CHECK(parts_[i].size() == cols);
     recon::colmath::accumulate(x.data(), parts_[i].data(), cols);
   }
-}
-
-// ---- sharded OS-SART -------------------------------------------------------
-
-recon::RunStats sharded_os_sart(ShardBackend& backend, std::span<const float> b,
-                                std::span<float> x, const recon::OsSartOptions& options) {
-  const auto& specs = backend.specs();
-  check_partition(specs);
-  const auto& g = specs[0].geometry;
-  CSCV_CHECK_MSG(specs[0].algorithm == pipeline::Algorithm::kOsSart,
-                 "shards were built for " << pipeline::algorithm_name(specs[0].algorithm));
-  CSCV_CHECK_MSG(options.num_subsets == specs[0].os_sart_subsets,
-                 "solver wants " << options.num_subsets << " subsets, shards were built for "
-                                 << specs[0].os_sart_subsets);
-  CSCV_CHECK(static_cast<sparse::index_t>(b.size()) == g.num_rows());
-  CSCV_CHECK(static_cast<sparse::index_t>(x.size()) == g.num_cols());
-
-  const int n = options.num_subsets;
-  const int bins = g.num_bins;
-  const std::size_t num_shards = specs.size();
-  const auto cols = static_cast<std::size_t>(g.num_cols());
-
-  // Per-subset geometry of the shard-concatenated stratum, plus the same
-  // normalizer state serial os_sart derives. Concatenating shard strata in
-  // shard order lists the subset's views ascending — exactly the row order
-  // of recon::split_view_subsets — so b slices element-for-element match.
-  struct SubsetState {
-    std::vector<std::size_t> part_rows;  // stratum rows per shard
-    std::vector<std::size_t> part_off;   // their offsets in the concatenation
-    std::size_t rows = 0;
-    util::AlignedVector<float> b;
-    util::AlignedVector<float> inv_row;
-    util::AlignedVector<float> inv_col;
-  };
-  std::vector<SubsetState> state(static_cast<std::size_t>(n));
-  for (int s = 0; s < n; ++s) {
-    auto& st = state[static_cast<std::size_t>(s)];
-    st.part_rows.resize(num_shards);
-    st.part_off.resize(num_shards);
-    for (std::size_t i = 0; i < num_shards; ++i) {
-      st.part_off[i] = st.rows;
-      std::size_t views = 0;
-      for (int v = specs[i].view_begin; v < specs[i].view_end; ++v) {
-        if (v % n == s) ++views;
-      }
-      st.part_rows[i] = views * static_cast<std::size_t>(bins);
-      st.rows += st.part_rows[i];
-    }
-    st.b.resize(st.rows);
-    std::size_t at = 0;
-    for (std::size_t i = 0; i < num_shards; ++i) {
-      for (int v = specs[i].view_begin; v < specs[i].view_end; ++v) {
-        if (v % n != s) continue;
-        for (int bin = 0; bin < bins; ++bin) {
-          st.b[at++] = b[static_cast<std::size_t>(v) * static_cast<std::size_t>(bins) +
-                         static_cast<std::size_t>(bin)];
-        }
-      }
-    }
-  }
-
-  std::vector<std::span<const float>> in(num_shards);
-  std::vector<util::AlignedVector<float>> parts;
-  const auto concat = [&](const SubsetState& st, util::AlignedVector<float>& dst) {
-    dst.resize(st.rows);
-    for (std::size_t i = 0; i < num_shards; ++i) {
-      CSCV_CHECK(parts[i].size() == st.part_rows[i]);
-      std::copy(parts[i].begin(), parts[i].end(),
-                dst.begin() + static_cast<std::ptrdiff_t>(st.part_off[i]));
-    }
-  };
-  const auto reduce = [&](util::AlignedVector<float>& dst) {
-    dst.resize(cols);
-    CSCV_CHECK(parts[0].size() == cols);
-    std::copy(parts[0].begin(), parts[0].end(), dst.begin());
-    for (std::size_t i = 1; i < num_shards; ++i) {
-      CSCV_CHECK(parts[i].size() == cols);
-      recon::colmath::accumulate(dst.data(), parts[i].data(), cols);
-    }
-  };
-
-  // Normalizers: R_s/C_s fetched from the shards and inverted here with the
-  // identical guard serial os_sart applies after CsrOperator sums.
-  for (int s = 0; s < n; ++s) {
-    auto& st = state[static_cast<std::size_t>(s)];
-    std::fill(in.begin(), in.end(), std::span<const float>());
-    backend.apply_all(ApplyOp::kRowSums, s, in, parts);
-    concat(st, st.inv_row);
-    backend.apply_all(ApplyOp::kColSums, s, in, parts);
-    reduce(st.inv_col);
-    for (auto& v : st.inv_row) v = v > 0.0f ? 1.0f / v : 0.0f;
-    for (auto& v : st.inv_col) v = v > 0.0f ? 1.0f / v : 0.0f;
-  }
-
-  const float lambda = static_cast<float>(options.relaxation);
-  util::AlignedVector<float> residual;
-  util::AlignedVector<float> back(x.size());
-  util::AlignedVector<float> full_residual(b.size());
-  recon::RunStats stats;
-
-  for (int it = 0; it < options.iterations; ++it) {
-    for (int s = 0; s < n; ++s) {
-      const auto& st = state[static_cast<std::size_t>(s)];
-      std::fill(in.begin(), in.end(), std::span<const float>(x.data(), x.size()));
-      backend.apply_all(ApplyOp::kForward, s, in, parts);
-      concat(st, residual);
-      recon::colmath::weighted_residual(st.b.data(), st.inv_row.data(), residual.data(),
-                                 residual.size());
-      for (std::size_t i = 0; i < num_shards; ++i) {
-        in[i] = std::span<const float>(residual).subspan(st.part_off[i], st.part_rows[i]);
-      }
-      backend.apply_all(ApplyOp::kAdjoint, s, in, parts);
-      reduce(back);
-      recon::colmath::sart_step(x.data(), st.inv_col.data(), back.data(), lambda,
-                         options.enforce_nonneg, back.size());
-    }
-    // Per-pass residual norm over the full forward: CSR rows are independent
-    // dot products, so the concatenation (and hence this norm) is bitwise
-    // the serial value for ANY shard count — unlike the adjoint reduce.
-    std::fill(in.begin(), in.end(), std::span<const float>(x.data(), x.size()));
-    backend.apply_all(ApplyOp::kForward, -1, in, parts);
-    for (std::size_t i = 0; i < num_shards; ++i) {
-      CSCV_CHECK(parts[i].size() == static_cast<std::size_t>(specs[i].local_rows()));
-      std::copy(parts[i].begin(), parts[i].end(),
-                full_residual.begin() + static_cast<std::ptrdiff_t>(specs[i].row_offset()));
-    }
-    stats.residual_norms.push_back(
-        recon::colmath::diff_norm2(b.data(), full_residual.data(), full_residual.size()));
-    ++stats.iterations_run;
-  }
-  return stats;
 }
 
 // ---- job-level entry points ------------------------------------------------
@@ -260,11 +138,27 @@ ShardedRunResult run_sharded_job(ShardBackend& backend, const pipeline::ReconJob
       break;
     }
     case pipeline::Algorithm::kOsSart: {
+      const int n = job.os_sart_subsets;
+      CSCV_CHECK_MSG(n == specs[0].os_sart_subsets,
+                     "job wants " << n << " subsets, shards were built for "
+                                  << specs[0].os_sart_subsets);
+      const auto layout = core::OperatorLayout::from_geometry(job.geometry);
+      std::vector<ShardedOperator> ops;
+      std::vector<util::AlignedVector<sparse::index_t>> rows;
+      std::vector<recon::OsSartStratum<float>> strata;
+      ops.reserve(static_cast<std::size_t>(n));  // strata point into ops and rows
+      rows.reserve(static_cast<std::size_t>(n));
+      for (int s = 0; s < n; ++s) {
+        ops.emplace_back(backend, s);
+        rows.push_back(recon::stratum_rows(layout, n, s));
+        strata.push_back({&ops.back(), rows.back()});
+      }
       const recon::OsSartOptions opts{.iterations = job.solve.iterations,
-                                      .num_subsets = job.os_sart_subsets,
+                                      .num_subsets = n,
                                       .relaxation = job.solve.relaxation,
                                       .enforce_nonneg = job.solve.enforce_nonneg};
-      result.stats = sharded_os_sart(backend, job.sinogram, result.volume, opts);
+      result.stats = recon::os_sart<float>(ShardedOperator(backend), strata, job.sinogram,
+                                           result.volume, opts);
       break;
     }
     case pipeline::Algorithm::kFbp:

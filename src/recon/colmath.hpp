@@ -26,6 +26,13 @@ void weighted_residual(const T* b, const T* w, T* r, std::size_t len) {
   for (std::size_t i = 0; i < len; ++i) r[i] = (b[i] - r[i]) * w[i];
 }
 
+/// v = v > 0 ? 1 / v : 0 (elementwise) — inverts a SIRT/SART row- or
+/// column-sum normalizer; a zero sum leaves its entry untouched.
+template <typename T>
+void invert_positive(T* v, std::size_t len) {
+  for (std::size_t i = 0; i < len; ++i) v[i] = v[i] > T(0) ? T(1) / v[i] : T(0);
+}
+
 /// v *= w (elementwise).
 template <typename T>
 void scale_by(T* v, const T* w, std::size_t len) {

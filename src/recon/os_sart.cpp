@@ -8,12 +8,25 @@
 
 namespace cscv::recon {
 
+util::AlignedVector<sparse::index_t> stratum_rows(const core::OperatorLayout& layout,
+                                                  int num_subsets, int s, int first_view) {
+  CSCV_CHECK(num_subsets >= 1 && s >= 0 && s < num_subsets && first_view >= 0);
+  util::AlignedVector<sparse::index_t> rows;
+  // Interleaved strata: views s, s+n, s+2n ... of the scan (maximal
+  // angular spread); the first local view in stratum s is v0.
+  const int v0 = ((s - first_view) % num_subsets + num_subsets) % num_subsets;
+  for (int v = v0; v < layout.num_views; v += num_subsets) {
+    for (int bin = 0; bin < layout.num_bins; ++bin) rows.push_back(layout.row_of(v, bin));
+  }
+  return rows;
+}
+
 template <typename T>
 std::vector<ViewSubset<T>> split_view_subsets(const sparse::CsrMatrix<T>& a,
                                               const core::OperatorLayout& layout,
-                                              int num_subsets) {
+                                              int num_subsets, int first_view) {
   CSCV_CHECK(a.rows() == layout.num_rows());
-  CSCV_CHECK(num_subsets >= 1 && num_subsets <= layout.num_views);
+  CSCV_CHECK(num_subsets >= 1);
   auto row_ptr = a.row_ptr();
   auto col_idx = a.col_idx();
   auto vals = a.values();
@@ -22,12 +35,7 @@ std::vector<ViewSubset<T>> split_view_subsets(const sparse::CsrMatrix<T>& a,
   subsets.reserve(static_cast<std::size_t>(num_subsets));
   for (int s = 0; s < num_subsets; ++s) {
     ViewSubset<T> subset;
-    // Interleaved strata: views s, s+n, s+2n ... (maximal angular spread).
-    for (int v = s; v < layout.num_views; v += num_subsets) {
-      for (int bin = 0; bin < layout.num_bins; ++bin) {
-        subset.global_rows.push_back(layout.row_of(v, bin));
-      }
-    }
+    subset.global_rows = stratum_rows(layout, num_subsets, s, first_view);
     const auto sub_rows = subset.global_rows.size();
     util::AlignedVector<sparse::offset_t> sub_ptr(sub_rows + 1, 0);
     for (std::size_t r = 0; r < sub_rows; ++r) {
@@ -51,34 +59,81 @@ std::vector<ViewSubset<T>> split_view_subsets(const sparse::CsrMatrix<T>& a,
   return subsets;
 }
 
+namespace {
+
+/// Per-stratum solver state: the sliced measurements of each of k columns
+/// (contiguous, so the weighted-residual update runs through the exact
+/// colmath helper serial os_sart uses) and the SART weights
+/// R_s = 1/rowsum, C_s = 1/colsum, shared by every column.
 template <typename T>
-RunStats os_sart(const sparse::CsrMatrix<T>& a, const core::OperatorLayout& layout,
+struct StratumState {
+  std::vector<util::AlignedVector<T>> b;  // [k] columns, each stratum-rows long
+  util::AlignedVector<T> inv_row;
+  util::AlignedVector<T> inv_col;
+};
+
+template <typename T>
+std::vector<StratumState<T>> prepare_strata(const LinearOperator<T>& a,
+                                            std::span<const OsSartStratum<T>> strata,
+                                            std::span<const T> b, std::size_t k,
+                                            int num_subsets) {
+  CSCV_CHECK(strata.size() == static_cast<std::size_t>(num_subsets));
+  std::vector<StratumState<T>> state;
+  state.reserve(strata.size());
+  for (const OsSartStratum<T>& s : strata) {
+    CSCV_CHECK(s.op->rows() == static_cast<sparse::index_t>(s.rows.size()));
+    CSCV_CHECK(s.op->cols() == a.cols());
+    StratumState<T> st;
+    st.b.resize(k);
+    for (std::size_t c = 0; c < k; ++c) {
+      st.b[c].resize(s.rows.size());
+      for (std::size_t r = 0; r < s.rows.size(); ++r) {
+        st.b[c][r] = b[static_cast<std::size_t>(s.rows[r]) * k + c];
+      }
+    }
+    st.inv_row = s.op->row_sums();
+    st.inv_col = s.op->col_sums();
+    colmath::invert_positive(st.inv_row.data(), st.inv_row.size());
+    colmath::invert_positive(st.inv_col.data(), st.inv_col.size());
+    state.push_back(std::move(st));
+  }
+  return state;
+}
+
+/// The CsrMatrix overloads' strata: split_view_subsets blocks, each behind
+/// a CsrOperator (which keeps the LinearOperator row/col sums).
+template <typename T>
+class CsrStrata {
+ public:
+  CsrStrata(const sparse::CsrMatrix<T>& a, const core::OperatorLayout& layout,
+            int num_subsets)
+      : subsets_(split_view_subsets(a, layout, num_subsets)) {
+    CSCV_CHECK(num_subsets >= 1 && num_subsets <= layout.num_views);
+    ops_.reserve(subsets_.size());  // strata_ points into ops_
+    for (const ViewSubset<T>& s : subsets_) {
+      ops_.emplace_back(s.matrix);
+      strata_.push_back({&ops_.back(), s.global_rows});
+    }
+  }
+  CsrStrata(const CsrStrata&) = delete;
+  CsrStrata& operator=(const CsrStrata&) = delete;
+
+  [[nodiscard]] std::span<const OsSartStratum<T>> strata() const { return strata_; }
+
+ private:
+  std::vector<ViewSubset<T>> subsets_;
+  std::vector<CsrOperator<T>> ops_;
+  std::vector<OsSartStratum<T>> strata_;
+};
+
+}  // namespace
+
+template <typename T>
+RunStats os_sart(const LinearOperator<T>& a, std::span<const OsSartStratum<T>> strata,
                  std::span<const T> b, std::span<T> x, const OsSartOptions& options) {
   CSCV_CHECK(static_cast<sparse::index_t>(b.size()) == a.rows());
   CSCV_CHECK(static_cast<sparse::index_t>(x.size()) == a.cols());
-  auto subsets = split_view_subsets(a, layout, options.num_subsets);
-
-  // Per-subset normalizers: R_s = 1/rowsum, C_s = 1/colsum (SART weights).
-  struct SubsetState {
-    util::AlignedVector<T> b;        // sliced measurements
-    util::AlignedVector<T> inv_row;
-    util::AlignedVector<T> inv_col;
-  };
-  std::vector<SubsetState> state;
-  state.reserve(subsets.size());
-  for (const auto& s : subsets) {
-    SubsetState st;
-    st.b.resize(s.global_rows.size());
-    for (std::size_t r = 0; r < s.global_rows.size(); ++r) {
-      st.b[r] = b[static_cast<std::size_t>(s.global_rows[r])];
-    }
-    CsrOperator<T> op(s.matrix);
-    st.inv_row = op.row_sums();
-    st.inv_col = op.col_sums();
-    for (auto& v : st.inv_row) v = v > T(0) ? T(1) / v : T(0);
-    for (auto& v : st.inv_col) v = v > T(0) ? T(1) / v : T(0);
-    state.push_back(std::move(st));
-  }
+  const auto state = prepare_strata(a, strata, b, 1, options.num_subsets);
 
   const T lambda = static_cast<T>(options.relaxation);
   util::AlignedVector<T> residual;
@@ -87,20 +142,19 @@ RunStats os_sart(const sparse::CsrMatrix<T>& a, const core::OperatorLayout& layo
   RunStats stats;
 
   for (int it = 0; it < options.iterations; ++it) {
-    for (std::size_t si = 0; si < subsets.size(); ++si) {
-      const auto& sub = subsets[si];
+    for (std::size_t si = 0; si < strata.size(); ++si) {
       const auto& st = state[si];
-      residual.resize(st.b.size());
-      sub.matrix.spmv(x, residual);
+      residual.resize(strata[si].rows.size());
+      strata[si].op->forward(x, residual);
       // Per-element updates go through colmath so os_sart_batch can run
       // the identical helpers per column (bitwise contract).
-      colmath::weighted_residual(st.b.data(), st.inv_row.data(), residual.data(),
+      colmath::weighted_residual(st.b[0].data(), st.inv_row.data(), residual.data(),
                                  residual.size());
-      sub.matrix.spmv_transpose(residual, back);
+      strata[si].op->adjoint(residual, back);
       colmath::sart_step(x.data(), st.inv_col.data(), back.data(), lambda,
                          options.enforce_nonneg, back.size());
     }
-    a.spmv(x, full_residual);
+    a.forward(x, full_residual);
     stats.residual_norms.push_back(
         colmath::diff_norm2(b.data(), full_residual.data(), full_residual.size()));
     ++stats.iterations_run;
@@ -109,13 +163,13 @@ RunStats os_sart(const sparse::CsrMatrix<T>& a, const core::OperatorLayout& layo
 }
 
 template <typename T>
-std::vector<RunStats> os_sart_batch(const sparse::CsrMatrix<T>& a,
-                                    const core::OperatorLayout& layout, std::span<const T> b,
-                                    std::span<T> x, int num_rhs,
+std::vector<RunStats> os_sart_batch(const LinearOperator<T>& a,
+                                    std::span<const OsSartStratum<T>> strata,
+                                    std::span<const T> b, std::span<T> x, int num_rhs,
                                     std::span<const OsSartOptions> options) {
   CSCV_CHECK(num_rhs >= 1);
   CSCV_CHECK(options.size() == static_cast<std::size_t>(num_rhs));
-  if (num_rhs == 1) return {os_sart(a, layout, b, x, options[0])};
+  if (num_rhs == 1) return {os_sart<T>(a, strata, b, x, options[0])};
   const std::size_t k = static_cast<std::size_t>(num_rhs);
   const std::size_t m = static_cast<std::size_t>(a.rows());
   const std::size_t n = static_cast<std::size_t>(a.cols());
@@ -125,40 +179,11 @@ std::vector<RunStats> os_sart_batch(const sparse::CsrMatrix<T>& a,
   for (const OsSartOptions& o : options) {
     CSCV_CHECK(o.num_subsets == options[0].num_subsets);
   }
-  auto subsets = split_view_subsets(a, layout, options[0].num_subsets);
-
-  // Normalizers are per-matrix (shared by every column); the b slices are
-  // per-column contiguous so the weighted-residual update can run through
-  // the exact colmath helper serial os_sart uses.
-  struct SubsetState {
-    std::vector<util::AlignedVector<T>> b;  // [k] columns, each sub_rows long
-    util::AlignedVector<T> inv_row;
-    util::AlignedVector<T> inv_col;
-  };
-  std::vector<SubsetState> state;
-  state.reserve(subsets.size());
-  for (const auto& s : subsets) {
-    SubsetState st;
-    st.b.resize(k);
-    for (std::size_t c = 0; c < k; ++c) {
-      st.b[c].resize(s.global_rows.size());
-      for (std::size_t r = 0; r < s.global_rows.size(); ++r) {
-        const auto gr = static_cast<std::size_t>(s.global_rows[r]);
-        st.b[c][r] = b[gr * k + c];
-      }
-    }
-    CsrOperator<T> op(s.matrix);
-    st.inv_row = op.row_sums();
-    st.inv_col = op.col_sums();
-    for (auto& v : st.inv_row) v = v > T(0) ? T(1) / v : T(0);
-    for (auto& v : st.inv_col) v = v > T(0) ? T(1) / v : T(0);
-    state.push_back(std::move(st));
-  }
+  const auto state = prepare_strata(a, strata, b, k, options[0].num_subsets);
 
   util::AlignedVector<T> residual;
   util::AlignedVector<T> back(n * k);
   util::AlignedVector<T> full_residual(m * k);
-  util::AlignedVector<T> transpose_scratch;
   // Contiguous per-column scratch for the gathered update steps.
   util::AlignedVector<T> col_m(m);
   util::AlignedVector<T> col_back(n);
@@ -173,12 +198,11 @@ std::vector<RunStats> os_sart_batch(const sparse::CsrMatrix<T>& a,
   for (const OsSartOptions& o : options) max_iters = std::max(max_iters, o.iterations);
 
   for (int it = 0; it < max_iters; ++it) {
-    for (std::size_t si = 0; si < subsets.size(); ++si) {
-      const auto& sub = subsets[si];
+    for (std::size_t si = 0; si < strata.size(); ++si) {
       const auto& st = state[si];
-      const std::size_t sub_rows = sub.global_rows.size();
+      const std::size_t sub_rows = strata[si].rows.size();
       residual.resize(sub_rows * k);
-      sub.matrix.spmv_multi(x, residual, num_rhs);
+      strata[si].op->forward_batch(x, residual, num_rhs);
       for (std::size_t c = 0; c < k; ++c) {
         if (it >= options[c].iterations) continue;  // finished column: x frozen
         colmath::gather_column(residual.data(), sub_rows, k, c, col_m.data());
@@ -186,7 +210,7 @@ std::vector<RunStats> os_sart_batch(const sparse::CsrMatrix<T>& a,
                                    sub_rows);
         colmath::scatter_column(col_m.data(), sub_rows, k, c, residual.data());
       }
-      sub.matrix.spmv_transpose_multi(residual, back, num_rhs, transpose_scratch);
+      strata[si].op->adjoint_batch(residual, back, num_rhs);
       for (std::size_t c = 0; c < k; ++c) {
         if (it >= options[c].iterations) continue;
         colmath::gather_column(back.data(), n, k, c, col_back.data());
@@ -197,7 +221,7 @@ std::vector<RunStats> os_sart_batch(const sparse::CsrMatrix<T>& a,
         colmath::scatter_column(col_x.data(), n, k, c, x.data());
       }
     }
-    a.spmv_multi(x, full_residual, num_rhs);
+    a.forward_batch(x, full_residual, num_rhs);
     for (std::size_t c = 0; c < k; ++c) {
       if (it >= options[c].iterations) continue;
       colmath::gather_column(full_residual.data(), m, k, c, col_m.data());
@@ -208,10 +232,44 @@ std::vector<RunStats> os_sart_batch(const sparse::CsrMatrix<T>& a,
   return stats;
 }
 
+template <typename T>
+RunStats os_sart(const sparse::CsrMatrix<T>& a, const core::OperatorLayout& layout,
+                 std::span<const T> b, std::span<T> x, const OsSartOptions& options) {
+  const CsrStrata<T> strata(a, layout, options.num_subsets);
+  return os_sart<T>(CsrOperator<T>(a), strata.strata(), b, x, options);
+}
+
+template <typename T>
+std::vector<RunStats> os_sart_batch(const sparse::CsrMatrix<T>& a,
+                                    const core::OperatorLayout& layout, std::span<const T> b,
+                                    std::span<T> x, int num_rhs,
+                                    std::span<const OsSartOptions> options) {
+  CSCV_CHECK(!options.empty());
+  const CsrStrata<T> strata(a, layout, options[0].num_subsets);
+  return os_sart_batch<T>(CsrOperator<T>(a), strata.strata(), b, x, num_rhs, options);
+}
+
 template std::vector<ViewSubset<float>> split_view_subsets<float>(
-    const sparse::CsrMatrix<float>&, const core::OperatorLayout&, int);
+    const sparse::CsrMatrix<float>&, const core::OperatorLayout&, int, int);
 template std::vector<ViewSubset<double>> split_view_subsets<double>(
-    const sparse::CsrMatrix<double>&, const core::OperatorLayout&, int);
+    const sparse::CsrMatrix<double>&, const core::OperatorLayout&, int, int);
+template RunStats os_sart<float>(const LinearOperator<float>&,
+                                 std::span<const OsSartStratum<float>>,
+                                 std::span<const float>, std::span<float>,
+                                 const OsSartOptions&);
+template RunStats os_sart<double>(const LinearOperator<double>&,
+                                  std::span<const OsSartStratum<double>>,
+                                  std::span<const double>, std::span<double>,
+                                  const OsSartOptions&);
+template std::vector<RunStats> os_sart_batch<float>(const LinearOperator<float>&,
+                                                    std::span<const OsSartStratum<float>>,
+                                                    std::span<const float>, std::span<float>,
+                                                    int, std::span<const OsSartOptions>);
+template std::vector<RunStats> os_sart_batch<double>(const LinearOperator<double>&,
+                                                     std::span<const OsSartStratum<double>>,
+                                                     std::span<const double>,
+                                                     std::span<double>, int,
+                                                     std::span<const OsSartOptions>);
 template RunStats os_sart<float>(const sparse::CsrMatrix<float>&, const core::OperatorLayout&,
                                  std::span<const float>, std::span<float>,
                                  const OsSartOptions&);

@@ -36,8 +36,8 @@ RunStats sirt(const LinearOperator<T>& a, std::span<const T> b, std::span<T> x,
 
   util::AlignedVector<T> inv_row = a.row_sums();
   util::AlignedVector<T> inv_col = a.col_sums();
-  for (auto& v : inv_row) v = v > T(0) ? T(1) / v : T(0);
-  for (auto& v : inv_col) v = v > T(0) ? T(1) / v : T(0);
+  colmath::invert_positive(inv_row.data(), inv_row.size());
+  colmath::invert_positive(inv_col.data(), inv_col.size());
 
   util::AlignedVector<T> residual(m);
   util::AlignedVector<T> back(n);
@@ -74,8 +74,8 @@ std::vector<RunStats> sirt_batch(const LinearOperator<T>& a, std::span<const T> 
   // serves every column — bitwise what each serial sirt() would compute.
   util::AlignedVector<T> inv_row = a.row_sums();
   util::AlignedVector<T> inv_col = a.col_sums();
-  for (auto& v : inv_row) v = v > T(0) ? T(1) / v : T(0);
-  for (auto& v : inv_col) v = v > T(0) ? T(1) / v : T(0);
+  colmath::invert_positive(inv_row.data(), inv_row.size());
+  colmath::invert_positive(inv_col.data(), inv_col.size());
 
   util::AlignedVector<T> residual(m * k);
   util::AlignedVector<T> back(n * k);

@@ -79,6 +79,25 @@ TEST(FrameParser, BadVersionThrows) {
   EXPECT_THROW((void)parser.next(frame), ProtocolError);
 }
 
+TEST(FrameParser, VersionOneFrameIsRejected) {
+  // Version 1 carried the row/col-sum apply ops; a version-1 peer must fail
+  // on its first frame instead of sending an op this build cannot serve.
+  std::string wire = encode_frame(MsgType::kPing, "x");
+  ASSERT_EQ(kProtocolVersion, 2);
+  wire[4] = 1;
+  wire[5] = 0;
+  FrameParser parser;
+  parser.append(wire.data(), wire.size());
+  Frame frame;
+  try {
+    (void)parser.next(frame);
+    FAIL() << "version-1 frame was accepted";
+  } catch (const ProtocolError& err) {
+    EXPECT_NE(std::string(err.what()).find("unsupported version 1"), std::string::npos)
+        << err.what();
+  }
+}
+
 TEST(FrameParser, UnknownTypeThrows) {
   for (const unsigned char bad : {0, 9, 255}) {
     std::string wire = encode_frame(MsgType::kPing, "x");
@@ -138,6 +157,25 @@ TEST(ApplyPayload, BadOpThrows) {
   payload[4] = 17;  // op byte
   util::AlignedVector<float> out;
   EXPECT_THROW((void)decode_apply(payload, out), ProtocolError);
+}
+
+TEST(ApplyPayload, RetiredRowAndColSumOpsAreUnknown) {
+  // Op bytes 2 and 3 were the version-1 normalizer ops; the wire now has
+  // only kForward and kAdjoint.
+  const float data[] = {1.0f};
+  for (const char op : {'\x02', '\x03'}) {
+    std::string payload = encode_apply(ApplyHeader{1, ApplyOp::kForward, 0, 1}, data);
+    payload[4] = op;
+    util::AlignedVector<float> out;
+    try {
+      (void)decode_apply(payload, out);
+      FAIL() << "op byte " << int{op} << " was accepted";
+    } catch (const ProtocolError& err) {
+      EXPECT_NE(std::string(err.what()).find("unknown op " + std::to_string(int{op})),
+                std::string::npos)
+          << err.what();
+    }
+  }
 }
 
 TEST(ApplyPayload, HugeCountCannotWrapTheLengthCheck) {

@@ -57,9 +57,15 @@ int main(int argc, char** argv) {
   const std::string apply =
       encode_frame(MsgType::kApply, encode_apply(ApplyHeader{1, ApplyOp::kForward, -1, 4}, volume));
   write_file(dir / "apply_forward.bin", apply);
-  write_file(dir / "apply_subset.bin",
-             encode_frame(MsgType::kApplyResult,
-                          encode_apply(ApplyHeader{0, ApplyOp::kColSums, 2, 4}, volume)));
+  const std::string subset = encode_frame(
+      MsgType::kApplyResult, encode_apply(ApplyHeader{0, ApplyOp::kAdjoint, 2, 4}, volume));
+  write_file(dir / "apply_subset.bin", subset);
+  // Op byte 2 was a version-1 normalizer op; decode_apply must reject it.
+  {
+    std::string retired = subset;
+    retired[kFrameHeaderBytes + 4] = 2;
+    write_file(dir / "apply_retired_op.bin", retired);
+  }
 
   write_file(dir / "ping.bin", encode_frame(MsgType::kPing, "are you there"));
   write_file(dir / "shutdown.bin", encode_frame(MsgType::kShutdown, ""));

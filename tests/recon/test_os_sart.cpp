@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "ct/phantom.hpp"
 #include "recon/os_sart.hpp"
 #include "test_helpers.hpp"
@@ -47,6 +50,60 @@ TEST(ViewSubsets, SubsetSpmvMatchesSlicedFull) {
     s.matrix.spmv(x, y_sub);
     for (std::size_t r = 0; r < y_sub.size(); ++r) {
       EXPECT_NEAR(y_sub[r], y_full[static_cast<std::size_t>(s.global_rows[r])], 1e-12);
+    }
+  }
+}
+
+TEST(ViewSubsets, OffsetStrataAreGlobalStrataRestrictedToTheRange) {
+  // A contiguous view range [vb, ve) of a scan, split with first_view = vb,
+  // must yield the scan's strata restricted to the range: the same rows in
+  // the same order, with the same column ids and values.
+  const int views = 12, num_subsets = 4;
+  const auto& csr = cached_ct_csr<double>(16, views);
+  const core::OperatorLayout layout{16, ct::standard_num_bins(16), views};
+  const int bins = layout.num_bins;
+  const auto global = split_view_subsets(csr, layout, num_subsets);
+  const auto row_ptr = csr.row_ptr();
+  for (const auto& [vb, ve] : {std::pair{0, 5}, std::pair{5, 7}, std::pair{7, views}}) {
+    // The range's rows of `csr` as a standalone matrix (what a shard holds).
+    const auto r0 = static_cast<std::size_t>(vb * bins);
+    const auto r1 = static_cast<std::size_t>(ve * bins);
+    util::AlignedVector<sparse::offset_t> ptr(r1 - r0 + 1);
+    for (std::size_t r = r0; r <= r1; ++r) ptr[r - r0] = row_ptr[r] - row_ptr[r0];
+    const auto n0 = static_cast<std::ptrdiff_t>(row_ptr[r0]);
+    const auto n1 = static_cast<std::ptrdiff_t>(row_ptr[r1]);
+    util::AlignedVector<sparse::index_t> cols(csr.col_idx().begin() + n0,
+                                              csr.col_idx().begin() + n1);
+    util::AlignedVector<double> vals(csr.values().begin() + n0, csr.values().begin() + n1);
+    const sparse::CsrMatrix<double> range(static_cast<sparse::index_t>(r1 - r0), csr.cols(),
+                                          std::move(ptr), std::move(cols), std::move(vals));
+    const core::OperatorLayout local{16, bins, ve - vb};
+
+    const auto strata = split_view_subsets(range, local, num_subsets, vb);
+    ASSERT_EQ(strata.size(), global.size());
+    for (std::size_t s = 0; s < strata.size(); ++s) {
+      std::vector<std::size_t> want;  // positions in global[s] that fall in the range
+      for (std::size_t i = 0; i < global[s].global_rows.size(); ++i) {
+        const auto gr = static_cast<std::size_t>(global[s].global_rows[i]);
+        if (gr >= r0 && gr < r1) want.push_back(i);
+      }
+      const auto& sub = strata[s];
+      ASSERT_EQ(sub.global_rows.size(), want.size()) << "range " << vb << " stratum " << s;
+      ASSERT_EQ(static_cast<std::size_t>(sub.matrix.rows()), want.size());
+      const auto& g = global[s].matrix;
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(static_cast<std::size_t>(sub.global_rows[i]) + r0,
+                  static_cast<std::size_t>(global[s].global_rows[want[i]]));
+        const auto lb = sub.matrix.row_ptr()[i], le = sub.matrix.row_ptr()[i + 1];
+        const auto gb = g.row_ptr()[want[i]], ge = g.row_ptr()[want[i] + 1];
+        ASSERT_EQ(le - lb, ge - gb);
+        for (sparse::offset_t k = 0; k < le - lb; ++k) {
+          EXPECT_EQ(sub.matrix.col_idx()[static_cast<std::size_t>(lb + k)],
+                    g.col_idx()[static_cast<std::size_t>(gb + k)]);
+          EXPECT_EQ(sub.matrix.values()[static_cast<std::size_t>(lb + k)],
+                    g.values()[static_cast<std::size_t>(gb + k)]);
+        }
+      }
     }
   }
 }

@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
     const int threads = cli.get_int("threads", 1);
     const std::string port_file = cli.get_string("port-file", "");
     cli.finish();
-    util::set_num_threads(threads);
+    CSCV_CHECK_MSG(threads >= 1, "--threads must be >= 1, got " << threads);
 
     dist::ShardWorker worker(opts);
 
@@ -60,7 +60,10 @@ int main(int argc, char** argv) {
     }
 
     std::atomic<bool> done{false};
-    std::thread serving([&worker, &done] {
+    std::thread serving([&worker, &done, threads] {
+      // OpenMP thread counts are per-thread settings: pin the thread that
+      // runs the shard math, not main, or applies use every core.
+      util::set_num_threads(threads);
       worker.run();
       done.store(true, std::memory_order_relaxed);
     });
